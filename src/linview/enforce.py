@@ -29,7 +29,7 @@ from .history import History, Op
 from .membership import AbstractObject, lin_object
 from .seqspec import SeqSpec
 from .sim import (EmitI, InnerResI, Memory, ProcCtx, Program,
-                  RecordedExecution, Schedule, SimError, run,
+                  RecordedExecution, Schedule, SimError, decode_items, run,
                   sa_scan, sa_write)
 from .views import TupleSet, ViewTuple, build_history
 
@@ -139,20 +139,6 @@ def _announce_payload(pctx: ProcCtx, memory: Memory, array: str, item: object,
     new = pctx.sets.get(array, frozenset()) | {item}
     pctx.sets[array] = new
     return new
-
-
-def decode_items(vector: Iterable, memory: Memory) -> frozenset:
-    """Union the announce cells of a snapshot vector; cells hold item
-    sets or, in bounded mode, linked-list node ids."""
-    items: set = set()
-    for cell in vector:
-        if cell is None:
-            continue
-        if isinstance(cell, int):
-            items.update(memory.chain_items(cell))
-        else:
-            items.update(cell)
-    return frozenset(items)
 
 
 # -- the wrapper ---------------------------------------------------------

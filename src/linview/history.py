@@ -23,7 +23,8 @@ the end) and deleting others, without introducing new real-time order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class HistoryError(ValueError):
@@ -140,8 +141,9 @@ class History:
         return f"History({len(self.events)} events, {len(self._ops)} ops)"
 
     @property
-    def ops(self) -> dict[str, Op]:
-        return dict(self._ops)
+    def ops(self) -> Mapping[str, Op]:
+        """Operations by uid, in invocation order (a read-only view)."""
+        return MappingProxyType(self._ops)
 
     @property
     def processes(self) -> set[int]:

@@ -8,6 +8,16 @@ complete operations.  The search schedules one operation at a time, only
 ever picking operations whose real-time predecessors are all scheduled,
 and memoizes failed (scheduled-set, spec-state) pairs.
 
+Cost model.  Indexing is one sweep over the events: operations are
+numbered by invocation, and an operation's predecessor bitmask is the
+mask of operations that had responded when it was invoked, so masks only
+grow with the slot number.  A search node therefore scans only its
+frontier: from the lowest unscheduled slot up to the first operation with
+an unscheduled predecessor (the "minimal operations" of Wing and Gong),
+never all n slots.  The search is depth-first with an explicit stack, so
+history length is not bounded by Python's recursion limit; it visits the
+same nodes, in the same order, as a scan of every slot at every node.
+
 ``brute_force_linearizable`` answers the same question by enumerating
 drop subsets and whole orderings with no memoization; it exists as an
 independent oracle for differential testing and refuses large inputs.
@@ -41,16 +51,21 @@ class Linearization:
 
 
 def _index_ops(h: History):
-    """Number the operations and bit-encode real-time predecessors."""
-    uids = sorted(h.ops, key=h.inv_index)
-    slot = {u: i for i, u in enumerate(uids)}
-    complete = [h.is_complete(u) for u in uids]
-    preds = [0] * len(uids)
-    for u in uids:
-        iu = h.inv_index(u)
-        for v in uids:
-            if v != u and h.is_complete(v) and h.res_index(v) < iu:
-                preds[slot[u]] |= 1 << slot[v]
+    """Number the operations by invocation and bit-encode real-time
+    predecessors in one sweep: an operation's predecessors are exactly
+    the operations that had responded when it was invoked."""
+    uids: list[str] = []
+    preds: list[int] = []
+    slot: dict[str, int] = {}
+    responded = 0
+    for e in h.events:
+        if e.kind == "inv":
+            slot[e.op.uid] = len(uids)
+            uids.append(e.op.uid)
+            preds.append(responded)
+        else:
+            responded |= 1 << slot[e.op.uid]
+    complete = [bool(responded >> i & 1) for i in range(len(uids))]
     return uids, complete, preds
 
 
@@ -65,36 +80,54 @@ def is_linearizable(h: History, spec: SeqSpec) -> Linearization | None:
         if complete[i]:
             complete_mask |= 1 << i
     delta = spec.delta
-    failed: set[tuple[int, object]] = set()
-    order: list[tuple[Op, object]] = []
 
-    def search(done: int, state: object) -> bool:
-        if done & complete_mask == complete_mask:
-            return True
-        key = (done, state)
-        if key in failed:
-            return False
-        for i in range(n):
+    def moves(done: int, state: object):
+        """The children of a search node, lazily and in slot order.
+
+        Predecessor masks grow with invocation order, so the candidates
+        start at the lowest unscheduled slot and end at the first
+        operation with an unscheduled predecessor."""
+        lowest = (~done & (done + 1)).bit_length() - 1
+        for i in range(lowest, n):
             bit = 1 << i
-            if done & bit or preds[i] & ~done:
+            if done & bit:
                 continue
+            if preds[i] & ~done:
+                break
             if complete[i]:
                 want = results[i]
                 for s2, r in delta(state, ops[i]):
-                    if r == want and search(done | bit, s2):
-                        order.append((ops[i], r))
-                        return True
+                    if r == want:
+                        yield done | bit, s2, (ops[i], r)
             else:
                 for s2, r in delta(state, ops[i]):
-                    if search(done | bit, s2):
-                        order.append((ops[i], r))
-                        return True
-        failed.add(key)
-        return False
+                    yield done | bit, s2, (ops[i], r)
 
-    if not search(0, spec.initial):
+    # Depth-first over (scheduled set, spec state) nodes with an explicit
+    # stack; failed nodes are memoized.  ``order`` holds the step taken
+    # into each node on the stack below the root.
+    failed: set[tuple[int, object]] = set()
+    order: list[tuple[Op, object]] = []
+    found = complete_mask == 0
+    stack = [] if found else [((0, spec.initial), moves(0, spec.initial))]
+    while stack and not found:
+        key, children = stack[-1]
+        for done, s2, step in children:
+            if done & complete_mask == complete_mask:
+                found = True
+            elif (done, s2) in failed:
+                continue
+            else:
+                stack.append(((done, s2), moves(done, s2)))
+            order.append(step)
+            break
+        else:
+            failed.add(key)
+            stack.pop()
+            if order:
+                order.pop()
+    if not found:
         return None
-    order.reverse()
     scheduled = {op.uid for op, _ in order}
     appended = {op.uid: r for op, r in order if not h.is_complete(op.uid)}
     dropped = frozenset(u for u in uids

@@ -137,6 +137,20 @@ class Memory:
         return items
 
 
+def decode_items(vector: Iterable, memory: Memory) -> frozenset:
+    """Union the announce cells of a snapshot vector; cells hold item
+    sets or, in bounded mode, linked-list node ids."""
+    items: set = set()
+    for cell in vector:
+        if cell is None:
+            continue
+        if isinstance(cell, int):
+            items.update(memory.chain_items(cell))
+        else:
+            items.update(cell)
+    return frozenset(items)
+
+
 class ProcCtx:
     """Per-process local bookkeeping that needs no shared steps: write
     sequence numbers (single-writer registers) and linked-list heads."""

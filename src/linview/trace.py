@@ -113,14 +113,12 @@ def format_call(op: Op) -> str:
 
 def format_history(h: History) -> str:
     lines = []
-    ops = h.ops
     for e in h.events:
         if e.kind == "inv":
             lines.append(f"inv {e.op.process} {e.op.uid} {format_call(e.op)}")
         else:
             lines.append(f"res {e.op.process} {e.op.uid} "
                          f"{format_value(e.result)}")
-    del ops
     return "\n".join(lines) + ("\n" if lines else "")
 
 

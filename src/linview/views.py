@@ -31,10 +31,11 @@ views out of the log rather than trusting the values the run returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable
 
 from .history import Event, History, Op
-from .sim import RecordedExecution
+from .sim import RecordedExecution, decode_items
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,9 @@ class MalformedLog(ValueError):
     pass
 
 
+_by_process = attrgetter("process", "uid")
+
+
 def mentioned_pending(tuples: Iterable[ViewTuple]) -> set[Op]:
     """Operations that appear in some view but own no tuple."""
     owned = {t.op for t in tuples}
@@ -85,29 +89,43 @@ def validate_views(tuples: Iterable[ViewTuple]) -> ViewViolation | None:
     a view may not contain a same-process operation that never finished,
     and one process may not leave two unfinished operations behind --
     either situation is impossible under per-process sequential callers.
+
+    The checks run along the inclusion chain.  Views sorted by size are
+    totally ordered exactly when each contains its predecessor.  Along
+    that chain an operation is *open* from the first view that holds it
+    to the last view it owns, or to the end if it owns none; two
+    operations of one process may never be open at once, which is the
+    pairwise rule, the pending-operation rule and the two-pending rule
+    in one sweep.
     """
-    ts = sorted(tuples, key=lambda t: (t.op.process, t.op.uid))
+    ts = list(tuples)
+    outside = [t.op for t in ts if t.op not in t.view]
+    if outside:
+        return ViewViolation("self-inclusion",
+                             (min(outside, key=_by_process),))
+    owners: dict[frozenset[Op], list[Op]] = {}
     for t in ts:
-        if t.op not in t.view:
-            return ViewViolation("self-inclusion", (t.op,))
-    for i, a in enumerate(ts):
-        for b in ts[i + 1:]:
-            if not (a.view <= b.view or b.view <= a.view):
-                return ViewViolation("containment", (a.op, b.op))
-    for i, a in enumerate(ts):
-        for b in ts[i + 1:]:
-            if (a.op.process == b.op.process and a.op != b.op
-                    and a.op in b.view and b.op in a.view):
-                return ViewViolation("process-sequential", (a.op, b.op))
-    pend = sorted(mentioned_pending(ts), key=lambda o: (o.process, o.uid))
-    for t in ts:
-        for p in pend:
-            if p.process == t.op.process and p != t.op and p in t.view:
-                return ViewViolation("process-sequential", (t.op, p))
-    for i, a in enumerate(pend):
-        for b in pend[i + 1:]:
-            if a.process == b.process:
-                return ViewViolation("process-sequential", (a, b))
+        owners.setdefault(t.view, []).append(t.op)
+    chain = sorted(owners, key=len)
+    for lo, hi in zip(chain, chain[1:]):
+        if not lo <= hi:
+            return ViewViolation("containment",
+                                 (min(owners[lo], key=_by_process),
+                                  min(owners[hi], key=_by_process)))
+    # views on a chain have distinct sizes, so a size names a view
+    last_size = {op: len(sigma) for sigma in chain for op in owners[sigma]}
+    open_op: dict[int, Op] = {}
+    covered: frozenset[Op] = frozenset()
+    for sigma in chain:
+        for o in sorted(sigma - covered, key=_by_process):
+            other = open_op.get(o.process)
+            if other is not None:
+                return ViewViolation("process-sequential", (other, o))
+            open_op[o.process] = o
+        for o in owners[sigma]:
+            if last_size[o] == len(sigma):
+                open_op.pop(o.process, None)
+        covered = sigma
     return None
 
 
@@ -129,7 +147,7 @@ def build_history(tuples: Iterable[ViewTuple], shuffle=None) -> History:
     events: list[Event] = []
     covered: frozenset[Op] = frozenset()
     for sigma in chain:
-        new_invs = sorted(sigma - covered, key=lambda o: (o.process, o.uid))
+        new_invs = sorted(sigma - covered, key=_by_process)
         responders = sorted(distinct[sigma],
                             key=lambda t: (t.op.process, t.op.uid))
         if shuffle is not None:
@@ -145,21 +163,6 @@ def build_history(tuples: Iterable[ViewTuple], shuffle=None) -> History:
 
 
 # -- extraction from recorded runs ---------------------------------------
-
-def _decode_view(vector: tuple, recorded: RecordedExecution) -> frozenset[Op]:
-    """Union the announce cells of a snapshot vector.  Cells hold either
-    a set of operations or, in the bounded linked-list representation, the
-    id of the newest node of a per-process chain."""
-    pairs: set[Op] = set()
-    for cell in vector:
-        if cell is None:
-            continue
-        if isinstance(cell, int):
-            pairs.update(recorded.memory.chain_items(cell))
-        else:
-            pairs.update(cell)
-    return frozenset(pairs)
-
 
 @dataclass(frozen=True)
 class _OpTrace:
@@ -189,7 +192,8 @@ def _op_traces(recorded: RecordedExecution) -> dict[str, _OpTrace]:
         elif e.kind == "inner_res":
             inner[e.uid] = e.value
         elif e.kind == "snap" and e.uid is not None:
-            snap_entry[e.uid] = (_decode_view(e.value, recorded), e.linpoint)
+            snap_entry[e.uid] = (decode_items(e.value, recorded.memory),
+                                 e.linpoint)
         elif e.kind == "res" and e.ctx == "star":
             res_entry[e.uid] = (e.value, e.view, e.linpoint)
     traces: dict[str, _OpTrace] = {}

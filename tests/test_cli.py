@@ -1,9 +1,12 @@
 """End-to-end runs of the command line, pinned by seed."""
 
+import random
+
 import pytest
 
 from linview.cli import main
-from linview.trace import parse_history, parse_tuples
+from linview.gen import linearizable_history
+from linview.trace import format_history, parse_history, parse_tuples
 
 MEMBER = "inv 1 1.0 Enq(5)\nres 1 1.0 true\ninv 2 2.0 Deq()\nres 2 2.0 5\n"
 NON_MEMBER = "inv 1 1.0 Deq()\nres 1 1.0 5\n"
@@ -42,6 +45,17 @@ def test_check_non_member(tmp_path, capsys):
                          "--trace", str(f))
     assert rc == 1
     assert out == "NOT LINEARIZABLE\n"
+
+
+def test_check_long_trace_is_a_member(tmp_path, capsys):
+    h = linearizable_history(random.Random(3), "set", 4, 1_200)
+    f = tmp_path / "long.trace"
+    f.write_text(format_history(h))
+    rc, out, err = run_cli(capsys, "check", "--spec", "set",
+                           "--trace", str(f))
+    assert rc == 0 and err == ""
+    assert len([ln for ln in out.splitlines() if " -> " in ln]) \
+        >= len(h.complete_uids())
 
 
 def test_check_parse_error_names_the_line(tmp_path, capsys):

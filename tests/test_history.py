@@ -44,6 +44,14 @@ def test_three_process_stack_history_is_valid():
     assert h.processes == {1, 2, 3}
 
 
+def test_ops_is_a_read_only_view_in_invocation_order():
+    h = three_proc_stack()
+    assert list(h.ops) == sorted(h.ops, key=h.inv_index)
+    with pytest.raises(TypeError):
+        h.ops["9.9"] = op(9, 9, "Pop")
+    assert len(h.ops) == 4
+
+
 def test_response_without_invocation_is_rejected():
     a = op(1, 0, "Pop")
     with pytest.raises(ResponseWithoutInvocation) as exc:

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linview.gen import linearizable_history, random_history, similar_variant
+from linview.gen import (append_pending, linearizable_history,
+                         random_history, similar_variant)
 from linview.history import History, Op, inv, is_similar, res
-from linview.membership import (Linearization, TooLarge,
+from linview.membership import (Linearization, TooLarge, _index_ops,
                                 brute_force_linearizable,
                                 check_linearization, is_linearizable,
                                 lin_object)
-from linview.seqspec import EMPTY, get_spec
+from linview.seqspec import EMPTY, SeqSpec, accepts, get_spec
 
 from _util import exhaustive_histories, op, random_bounded_history, relabel
 
@@ -191,6 +192,116 @@ def test_random_differential_across_catalog():
         spec = get_spec(name)
         assert (is_linearizable(h, spec) is not None) \
             == brute_force_linearizable(h, spec), (name, h.events)
+
+
+# -- the indexed search against pairwise and recursive references ---------
+
+def pairwise_index(h):
+    """Slots by invocation; predecessors by comparing every pair."""
+    uids = sorted(h.ops, key=h.inv_index)
+    slot = {u: i for i, u in enumerate(uids)}
+    complete = [h.is_complete(u) for u in uids]
+    preds = [0] * len(uids)
+    for u in uids:
+        for v in uids:
+            if v != u and h.is_complete(v) \
+                    and h.res_index(v) < h.inv_index(u):
+                preds[slot[u]] |= 1 << slot[v]
+    return uids, complete, preds
+
+
+def recursive_search(h, spec):
+    """Memoized depth-first search over every slot at every node."""
+    uids, complete, preds = pairwise_index(h)
+    n = len(uids)
+    ops = [h.op(u) for u in uids]
+    results = [h.result_of(u) if c else None for u, c in zip(uids, complete)]
+    complete_mask = sum(1 << i for i in range(n) if complete[i])
+    failed = set()
+    order = []
+
+    def search(done, state):
+        if done & complete_mask == complete_mask:
+            return True
+        if (done, state) in failed:
+            return False
+        for i in range(n):
+            bit = 1 << i
+            if done & bit or preds[i] & ~done:
+                continue
+            for s2, r in spec.delta(state, ops[i]):
+                if (not complete[i] or r == results[i]) \
+                        and search(done | bit, s2):
+                    order.append((ops[i], r))
+                    return True
+        failed.add((done, state))
+        return False
+
+    return list(reversed(order)) if search(0, spec.initial) else None
+
+
+def counting(spec):
+    calls = [0]
+
+    def delta(state, o):
+        calls[0] += 1
+        return spec.delta(state, o)
+
+    return SeqSpec(spec.name, spec.initial, delta), calls
+
+
+def mixed_histories(seed, count, max_ops):
+    """Random and linearizable histories, many with pending operations."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        name = rng.choice(["queue", "stack", "set", "counter", "register",
+                           "pqueue", "consensus"])
+        procs, size = rng.randint(1, 5), rng.randint(0, max_ops)
+        if rng.random() < 0.5:
+            h = random_history(rng, name, procs, size)
+        else:
+            h = append_pending(rng, linearizable_history(rng, name, procs,
+                                                         size), name)
+        yield name, h
+
+
+def test_one_sweep_index_matches_pairwise_reference():
+    with_pending = 0
+    for _, h in mixed_histories(71, 400, 24):
+        with_pending += bool(h.pending_uids())
+        assert _index_ops(h) == pairwise_index(h), h.events
+    assert with_pending > 200
+
+
+def test_bounded_search_visits_what_the_full_scan_visits():
+    answers = set()
+    for name, h in mixed_histories(72, 400, 16):
+        spec_a, calls_a = counting(get_spec(name))
+        spec_b, calls_b = counting(get_spec(name))
+        lin = is_linearizable(h, spec_a)
+        want = recursive_search(h, spec_b)
+        assert calls_a == calls_b, h.events
+        assert (lin is None) == (want is None), h.events
+        if lin is not None:
+            assert list(lin.order) == want
+        answers.add(lin is None)
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize("n", [1_200, 10_000])
+@pytest.mark.parametrize("name", ["set", "register", "counter"])
+def test_long_histories_check_without_deep_recursion(name, n):
+    # far deeper than the default recursion limit allows a recursive
+    # search to go: one search level per scheduled operation
+    h = linearizable_history(random.Random(n), name, 4, n)
+    assert len(h.ops) == n
+    spec = get_spec(name)
+    lin = is_linearizable(h, spec)
+    assert lin is not None
+    assert accepts(spec, lin.order)
+    assert len(lin.order) + len(lin.dropped) == n
+    if n <= 1_200:
+        assert check_linearization(h, spec, lin)
 
 
 # -- relabeling invariance (justifies the canonical quotient) ------------

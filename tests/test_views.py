@@ -85,6 +85,113 @@ def test_harvested_views_always_validate():
         assert validate_views(lambda_of(rec)) is None
 
 
+def pairwise_validate(tuples):
+    """The pairwise reference: every pair of views, every pending op."""
+    ts = sorted(tuples, key=lambda t: (t.op.process, t.op.uid))
+    for t in ts:
+        if t.op not in t.view:
+            return "self-inclusion"
+    for i, a in enumerate(ts):
+        for b in ts[i + 1:]:
+            if not (a.view <= b.view or b.view <= a.view):
+                return "containment"
+    for i, a in enumerate(ts):
+        for b in ts[i + 1:]:
+            if (a.op.process == b.op.process and a.op != b.op
+                    and a.op in b.view and b.op in a.view):
+                return "process-sequential"
+    pend = sorted(mentioned_pending(ts), key=lambda o: (o.process, o.uid))
+    for t in ts:
+        for p in pend:
+            if p.process == t.op.process and p != t.op and p in t.view:
+                return "process-sequential"
+    for i, a in enumerate(pend):
+        for b in pend[i + 1:]:
+            if a.process == b.process:
+                return "process-sequential"
+    return None
+
+
+def harvested_tuple_sets(seed, count):
+    """Tuple sets of fuzzed wrapped runs; some runs are cut short so
+    their views mention pending operations."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        inner = AtomicInner(get_spec("queue"), latency=rng.randint(0, 6))
+        steps = rng.choice((20_000, rng.randint(10, 80)))
+        _, rec = fuzzed_star_run(rng, inner=inner, procs=rng.randint(1, 4),
+                                 ops_per_proc=rng.randint(1, 4),
+                                 max_steps=steps)
+        yield rng, sorted(lambda_of(rec), key=lambda t: len(t.view))
+
+
+def with_view(t, view):
+    return ViewTuple(t.op, t.result, frozenset(view))
+
+
+def corrupt(rng, ts):
+    """One random corruption of a (length-sorted) tuple list."""
+    ts = list(ts)
+    k = rng.randrange(len(ts))
+    kind = rng.randrange(5)
+    if kind == 0 and ts[k].view:  # an operation removed from one view
+        ts[k] = with_view(ts[k], ts[k].view - {rng.choice(sorted(
+            ts[k].view, key=lambda o: o.uid))})
+    elif kind == 1 and len(ts) > 1:  # two views made incomparable
+        j = rng.randrange(len(ts))
+        ts[k] = with_view(ts[k], ts[k].view | {Op(9, "9.0", "Deq")})
+        ts[j] = with_view(ts[j], ts[j].view | {Op(9, "9.1", "Deq")})
+    elif kind == 2:  # a same-process pending op in this and later views
+        ghost = Op(ts[k].op.process, "ghost", "Deq")
+        ts = [with_view(t, t.view | {ghost}) if i >= k else t
+              for i, t in enumerate(ts)]
+    elif kind == 3:  # two pendings of one process
+        p = rng.randint(1, 5)
+        ghosts = {Op(p, f"ghost{i}", "Deq") for i in range(2)}
+        ts = [with_view(t, t.view | ghosts) if i >= k else t
+              for i, t in enumerate(ts)]
+    else:  # another tuple's operation leaks into an earlier view
+        j = rng.randrange(len(ts))
+        ts = [with_view(t, t.view | {ts[j].op}) if i >= k else t
+              for i, t in enumerate(ts)]
+    return ts
+
+
+def property_of(tuples):
+    bad = validate_views(tuples)
+    return None if bad is None else bad.property
+
+
+def test_chain_validation_agrees_with_pairwise_on_harvested_sets():
+    for _, ts in harvested_tuple_sets(61, 150):
+        assert property_of(ts) is None
+        assert pairwise_validate(ts) is None
+
+
+def test_chain_validation_agrees_with_pairwise_on_corrupted_sets():
+    seen = set()
+    for rng, ts in harvested_tuple_sets(62, 300):
+        if not ts:
+            continue
+        for _ in range(4):
+            bad = corrupt(rng, ts)
+            want = pairwise_validate(bad)
+            assert property_of(bad) == want
+            seen.add(want)
+            ts = bad if rng.random() < 0.3 else ts
+    assert seen == {None, "self-inclusion", "containment",
+                    "process-sequential"}
+
+
+def test_duplicate_op_tuples_stay_open_until_their_last_view():
+    a, b = op(1, 0, "Enq", 1), op(1, 1, "Deq")
+    c = op(2, 0, "Enq", 2)
+    ts = {vt(a, True, a), vt(a, False, a, c), vt(b, 1, a, c, b)}
+    assert property_of(ts) is None and pairwise_validate(ts) is None
+    ts = {vt(a, True, a), vt(a, False, a, c, b), vt(b, 1, a, c, b)}
+    assert property_of(ts) == pairwise_validate(ts) == "process-sequential"
+
+
 # -- build_history -------------------------------------------------------
 
 def test_empty_tuple_set_builds_the_empty_history():
